@@ -1,8 +1,7 @@
-//! Routing-decision microbenchmarks: per-algorithm `route()` cost with
-//! the precomputed geometry table against the direct (table-less)
-//! computation, on a representative faulty pattern. This is the
-//! benchmark behind the `routing_decision_ns` section of
-//! `BENCH_engine.json`; run it for statistically rigorous numbers:
+//! Routing-decision microbenchmarks: per-algorithm `route()` cost on a
+//! representative faulty pattern. This is the criterion counterpart of
+//! the `routing_decision_ns` section of `BENCH_engine.json`; run it for
+//! statistically rigorous numbers:
 //!
 //! ```text
 //! cargo bench -p wormsim-bench --bench routing_decision
@@ -20,28 +19,24 @@ fn bench(c: &mut Criterion) {
     let mesh = Mesh::square(10);
     let mut rng = SmallRng::seed_from_u64(0xB41C);
     let pattern = random_pattern(&mesh, 10, &mut rng).expect("pattern");
-    let tabled = Arc::new(RoutingContext::new(mesh.clone(), pattern.clone()));
-    let direct = Arc::new(RoutingContext::new_direct(mesh.clone(), pattern.clone()));
+    let ctx = Arc::new(RoutingContext::new(mesh.clone(), pattern.clone()));
     let healthy: Vec<_> = pattern.healthy_nodes(&mesh).collect();
     // A source/destination pair whose minimal rectangle contains faults,
-    // so ring geometry (where the table replaces per-query scans) is on
-    // the decision path, not just the fault-free early-outs.
+    // so ring geometry is on the decision path, not just the fault-free
+    // early-outs.
     let src = *healthy.first().expect("healthy node");
     let dest = *healthy.last().expect("healthy node");
 
     let mut g = c.benchmark_group("routing_decision");
     for kind in AlgorithmKind::ALL {
-        for (ctx, variant) in [(&tabled, "table"), (&direct, "direct")] {
-            let algo = build_algorithm(kind, (*ctx).clone(), VcConfig::paper());
-            let name = format!("{}/{variant}", kind.paper_name());
-            g.bench_function(&name, |b| {
-                b.iter_batched(
-                    || algo.init_message(src, dest),
-                    |mut st| algo.route(src, &mut st),
-                    BatchSize::SmallInput,
-                )
-            });
-        }
+        let algo = build_algorithm(kind, ctx.clone(), VcConfig::paper());
+        g.bench_function(kind.paper_name(), |b| {
+            b.iter_batched(
+                || algo.init_message(src, dest),
+                |mut st| algo.route(src, &mut st),
+                BatchSize::SmallInput,
+            )
+        });
     }
     g.finish();
 }

@@ -24,9 +24,12 @@
 //! join every thread on SIGTERM — can own a pool via [`WorkerPool::new`]
 //! and retire it with [`WorkerPool::shutdown`] (or just drop it: `Drop`
 //! shuts down too). Shutdown waits for any in-flight batch, wakes every
-//! idle worker, and joins them all, so a retired pool provably leaks no
-//! threads. A pool that has been shut down still accepts `run` calls; the
-//! batch simply executes on the calling thread.
+//! idle worker, joins them all, and waits until the OS has released each
+//! one, so a retired pool provably leaks no threads. Spawning is
+//! handshaked too: a new worker counts (and is visible under its name)
+//! once it runs, not merely once it has been asked for. A pool that has
+//! been shut down still accepts `run` calls; the batch simply executes on
+//! the calling thread.
 //!
 //! ## Panic discipline
 //!
@@ -55,6 +58,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread;
+use std::time::{Duration, Instant};
 
 /// How many items one `fetch_add` claims. Coarser chunks amortize the
 /// shared counter; 8 chunks per worker keeps the tail balanced.
@@ -108,13 +112,16 @@ struct JobSlot {
     /// Set by [`WorkerPool::shutdown`]: idle workers return instead of
     /// waiting for another job, and no new workers are spawned.
     stop: bool,
+    /// Workers that have entered their loop: running, and already named
+    /// (the name is set before the thread body runs).
+    started: usize,
 }
 
 struct Inner {
     state: Mutex<JobSlot>,
     /// Signals workers that a job was posted (or that shutdown began).
     ready: Condvar,
-    /// Signals the caller that a worker checked out.
+    /// Signals the caller that a worker started or checked out.
     done: Condvar,
 }
 
@@ -127,8 +134,8 @@ pub struct WorkerPool {
     /// Serializes batches (one job at a time).
     job_guard: Mutex<()>,
     /// Join handles of the worker threads spawned so far; drained (and
-    /// joined) by `shutdown`.
-    workers: Mutex<Vec<thread::JoinHandle<()>>>,
+    /// joined) by `shutdown`. Each worker returns its OS thread id.
+    workers: Mutex<Vec<thread::JoinHandle<Option<u64>>>>,
     /// Unique thread-name prefix for this pool's workers. Short enough to
     /// survive the kernel's 15-byte `comm` truncation, so tests (and
     /// operators) can attribute a thread to its pool from `/proc`.
@@ -197,6 +204,7 @@ impl WorkerPool {
                     open_seats: 0,
                     exited: 0,
                     stop: false,
+                    started: 0,
                 }),
                 ready: Condvar::new(),
                 done: Condvar::new(),
@@ -215,13 +223,15 @@ impl WorkerPool {
         &self.name_prefix
     }
 
-    /// Worker threads currently alive (spawned and not yet joined).
+    /// Worker threads currently alive: started (running under their
+    /// name) and not yet joined.
     pub fn worker_count(&self) -> usize {
         lock_unpoisoned(&self.workers).len()
     }
 
     /// Retire the pool: wait for any in-flight batch, tell every idle
-    /// worker to exit, and join them all. Returns how many workers were
+    /// worker to exit, join them all, and wait until the OS has released
+    /// each of them (see `wait_released`). Returns how many workers were
     /// joined. Idempotent — a second call joins nothing and returns 0.
     /// `run` remains usable afterwards; batches simply execute on the
     /// calling thread.
@@ -238,7 +248,9 @@ impl WorkerPool {
         let handles = std::mem::take(&mut *lock_unpoisoned(&self.workers));
         let joined = handles.len();
         for h in handles {
-            let _ = h.join();
+            if let Ok(Some(tid)) = h.join() {
+                wait_released(tid);
+            }
         }
         joined
     }
@@ -327,17 +339,31 @@ impl WorkerPool {
         }
     }
 
-    /// Spawn workers until at least `want` exist.
+    /// Spawn workers until at least `want` exist, and wait until every
+    /// one of them has started. Without that handshake a fresh worker may
+    /// not have been scheduled yet — not visible under its name, not
+    /// counted as running — when the batch that asked for it is already
+    /// done.
     fn ensure_workers(&self, want: usize) {
         let mut workers = lock_unpoisoned(&self.workers);
+        if workers.len() >= want {
+            return;
+        }
         while workers.len() < want {
             let inner = Arc::clone(&self.inner);
             let name = format!("{}w{}", self.name_prefix, workers.len());
             let handle = thread::Builder::new()
                 .name(name)
-                .spawn(move || worker_loop(&inner))
+                .spawn(move || {
+                    worker_loop(&inner);
+                    os_thread_id()
+                })
                 .expect("spawn pool worker");
             workers.push(handle);
+        }
+        let mut s = lock_unpoisoned(&self.inner.state);
+        while s.started < workers.len() {
+            s = self.inner.done.wait(s).unwrap_or_else(|p| p.into_inner());
         }
     }
 }
@@ -345,6 +371,26 @@ impl WorkerPool {
 impl Drop for WorkerPool {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+/// The calling thread's kernel thread id, where the OS exposes it
+/// (Linux `/proc/thread-self`).
+fn os_thread_id() -> Option<u64> {
+    let link = std::fs::read_link("/proc/thread-self").ok()?;
+    link.file_name()?.to_str()?.parse().ok()
+}
+
+/// Wait (at most a second) until the kernel has released thread `tid`.
+/// A join returns as soon as the exiting thread has cleared its thread id,
+/// which the kernel does partway through the exit; the task stays listed
+/// in `/proc/self/task` until the exit finishes. Waiting for the entry to
+/// disappear makes a retired pool leak no threads *now*, not eventually.
+fn wait_released(tid: u64) {
+    let entry = format!("/proc/self/task/{tid}");
+    let deadline = Instant::now() + Duration::from_secs(1);
+    while std::path::Path::new(&entry).exists() && Instant::now() < deadline {
+        thread::yield_now();
     }
 }
 
@@ -396,6 +442,8 @@ fn claim_chunks(job: &ActiveJob) {
 }
 
 fn worker_loop(inner: &Inner) {
+    lock_unpoisoned(&inner.state).started += 1;
+    inner.done.notify_all();
     let mut last_epoch = 0u64;
     loop {
         let job = {

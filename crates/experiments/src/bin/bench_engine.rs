@@ -125,9 +125,8 @@ struct BenchRecord {
     /// Heap allocations performed inside the measurement window (must be
     /// zero: the engine's steady state is allocation-free).
     measure_allocations: u64,
-    /// Routing-decision microbenchmark: mean ns per `route()` call with
-    /// the geometry table against the direct (table-less) computation,
-    /// on a representative faulty pattern.
+    /// Routing-decision microbenchmark: ns per `route()` call on a
+    /// representative faulty pattern, median over timed batches.
     routing_decision_ns: Vec<RoutingDecisionRecord>,
     /// FNV-1a over the run's serialized `SimReport`: the simulation-result
     /// identity for this seed. Perf work must not change it.
@@ -266,9 +265,17 @@ struct SweepRecord {
 #[derive(Serialize)]
 struct RoutingDecisionRecord {
     algorithm: &'static str,
-    table_ns: f64,
-    direct_ns: f64,
+    /// Median over `samples` batches of the mean ns per `route()` call.
+    median_ns: f64,
+    /// Fastest and slowest batch, for the spread.
+    min_ns: f64,
+    max_ns: f64,
+    samples: usize,
 }
+
+/// Timed batches per algorithm in [`routing_decision_bench`]; odd, so the
+/// median is one batch's reading.
+const ROUTING_DECISION_SAMPLES: usize = 21;
 
 fn usage() -> ! {
     eprintln!(
@@ -342,8 +349,8 @@ fn sweep_pass_reused(
     (secs, allocs, fp)
 }
 
-/// One pass over the batch rebuilding everything per run — mesh, context
-/// (geometry table included), algorithm, simulator — i.e. the pre-pool
+/// One pass over the batch rebuilding everything per run — mesh, routing
+/// context, algorithm, simulator — i.e. the pre-pool
 /// harness behavior, as the A/B baseline.
 fn sweep_pass_rebuild(
     specs: &[(AlgorithmKind, Arc<FaultPattern>, u64)],
@@ -750,10 +757,11 @@ fn phase_bench(expected_fp: Option<&str>) -> PhasesRecord {
     }
 }
 
-/// Mean ns per `route()` call for every roster algorithm, with the
-/// context's geometry table and with the direct computation. Uses a
-/// faulty pattern so ring geometry (where the table earns its keep) is
-/// actually on the decision path.
+/// ns per `route()` call for every roster algorithm on a faulty pattern,
+/// so ring geometry is actually on the decision path. Each batch routes
+/// the first decision of every healthy pair once; the record keeps the
+/// median of [`ROUTING_DECISION_SAMPLES`] batches, which one stray
+/// (descheduled) batch cannot move.
 fn routing_decision_bench() -> Vec<RoutingDecisionRecord> {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -761,38 +769,40 @@ fn routing_decision_bench() -> Vec<RoutingDecisionRecord> {
     let mesh = Mesh::square(MESH_SIZE);
     let mut rng = SmallRng::seed_from_u64(SEED);
     let pattern = wormsim_fault::random_pattern(&mesh, 10, &mut rng).expect("pattern");
-    let tabled = Arc::new(RoutingContext::new(mesh.clone(), pattern.clone()));
-    let direct = Arc::new(RoutingContext::new_direct(mesh.clone(), pattern.clone()));
+    let ctx = Arc::new(RoutingContext::new(mesh.clone(), pattern.clone()));
     let healthy: Vec<_> = pattern.healthy_nodes(&mesh).collect();
-
-    let time_route = |ctx: &Arc<RoutingContext>, kind: AlgorithmKind| -> f64 {
-        let algo = build_algorithm(kind, ctx.clone(), VcConfig::paper());
-        // Route between every healthy pair once to warm caches, then time.
-        let pairs: Vec<_> = healthy
-            .iter()
-            .flat_map(|&s| healthy.iter().map(move |&d| (s, d)))
-            .filter(|(s, d)| s != d)
-            .collect();
-        let mut calls = 0u64;
-        for &(src, dest) in &pairs {
-            let mut st = algo.init_message(src, dest);
-            std::hint::black_box(algo.route(src, &mut st));
-            calls += 1;
-        }
-        let start = Instant::now();
-        for &(src, dest) in &pairs {
-            let mut st = algo.init_message(src, dest);
-            std::hint::black_box(algo.route(src, &mut st));
-        }
-        start.elapsed().as_nanos() as f64 / calls as f64
-    };
+    let pairs: Vec<_> = healthy
+        .iter()
+        .flat_map(|&s| healthy.iter().map(move |&d| (s, d)))
+        .filter(|(s, d)| s != d)
+        .collect();
 
     AlgorithmKind::ALL
         .iter()
-        .map(|&kind| RoutingDecisionRecord {
-            algorithm: kind.paper_name(),
-            table_ns: time_route(&tabled, kind),
-            direct_ns: time_route(&direct, kind),
+        .map(|&kind| {
+            let algo = build_algorithm(kind, ctx.clone(), VcConfig::paper());
+            let batch = || {
+                for &(src, dest) in &pairs {
+                    let mut st = algo.init_message(src, dest);
+                    std::hint::black_box(algo.route(src, &mut st));
+                }
+            };
+            batch(); // warm caches
+            let mut ns: Vec<f64> = (0..ROUTING_DECISION_SAMPLES)
+                .map(|_| {
+                    let start = Instant::now();
+                    batch();
+                    start.elapsed().as_nanos() as f64 / pairs.len() as f64
+                })
+                .collect();
+            ns.sort_by(f64::total_cmp);
+            RoutingDecisionRecord {
+                algorithm: kind.paper_name(),
+                median_ns: ns[ns.len() / 2],
+                min_ns: ns[0],
+                max_ns: ns[ns.len() - 1],
+                samples: ns.len(),
+            }
         })
         .collect()
 }

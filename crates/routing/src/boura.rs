@@ -127,18 +127,16 @@ impl BouraFaultTolerant {
     }
 
     /// Minimal directions with non-faulty next nodes, split into
-    /// (safe-or-destination, merely-non-faulty) preference tiers. Both
-    /// tiers come from the context's precomputed direction sets: `any` is
-    /// the healthy-minimal set, and the preferred tier intersects it with
-    /// the safe-labeled set — except one hop out, where the single minimal
-    /// link lands on the destination itself and is preferred regardless of
-    /// its label.
+    /// (safe-or-destination, merely-non-faulty) preference tiers: the
+    /// context's safe and healthy minimal sets — except one hop out, where
+    /// the single minimal link lands on the destination itself and is
+    /// preferred regardless of its label.
     fn tiered_minimal(&self, node: NodeId, dest: NodeId) -> (DirectionSet, DirectionSet) {
-        let any = self.ctx.healthy_minimal_directions(node, dest);
+        let (safe, any) = self.ctx.minimal_direction_tiers(node, dest);
         let preferred = if self.ctx.mesh().distance(node, dest) == 1 {
             any
         } else {
-            any.intersect(self.ctx.safe_directions(node))
+            safe
         };
         (preferred, any)
     }

@@ -46,9 +46,9 @@ mod boppana_chalasani;
 mod boura;
 mod context;
 mod duato;
+mod geometry;
 mod hop_based;
 mod state;
-mod table;
 mod traits;
 mod turn_model;
 
@@ -60,7 +60,6 @@ pub use context::RoutingContext;
 pub use duato::{Duato, EscapeKind};
 pub use hop_based::{NHop, PHop};
 pub use state::{CandidateHop, Candidates, MessageState, MessageType, RingState, VcMask};
-pub use table::{GeometryTable, PairEntry};
 pub use traits::{greedy_trace, BaseRouting, Plain, RoutingAlgorithm, TraceError};
 pub use turn_model::{DimensionOrder, TurnModel, TurnModelKind};
 

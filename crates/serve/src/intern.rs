@@ -4,8 +4,7 @@
 //! *pointer identity* of the spec's `Arc<FaultPattern>` — a fine scheme
 //! in-process, where the harness builds each pattern once. Wire requests
 //! break that assumption: two clients describing the same faults would
-//! naively get two `Arc`s, two contexts, and two copies of the geometry
-//! table. The interner restores the invariant by canonicalizing each
+//! naively get two `Arc`s and two routing contexts. The interner restores the invariant by canonicalizing each
 //! request's fault list (sorted, deduplicated) and handing every
 //! identical list the same `Arc`.
 //!
