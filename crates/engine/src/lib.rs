@@ -54,7 +54,7 @@ pub use config::{Arbitration, ConfigError, SimConfig};
 pub use fault_hook::{FaultActivation, FaultDriver};
 pub use message::MsgId;
 pub use pool::WorkerPool;
-pub use profile::{Phase, PhaseTimes, NUM_PHASES};
+pub use profile::{KernelCounters, Phase, PhaseTimes, NUM_PHASES};
 pub use simulator::Simulator;
 // Observability layer, re-exported so engine users can attach sinks and
 // consume stall diagnoses without naming `wormsim-obs` themselves.

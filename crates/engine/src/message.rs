@@ -8,26 +8,66 @@ use wormsim_topology::NodeId;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct MsgId(pub(crate) u32);
 
-/// One virtual channel held by a message: the dense `(channel, vc)` key,
-/// how many flits have entered its downstream buffer so far, and how many
-/// are buffered there now.
+/// One virtual channel held by a message: its channel and VC index, how
+/// many flits have entered its downstream buffer so far, how many are
+/// buffered there now, and how many of those arrivals per-node load has
+/// already counted.
+///
+/// Kept at 16 bytes (asserted below): the pipeline loop streams these
+/// every cycle. The VC-slot table key `ch * num_vcs + vc` is therefore
+/// not stored but recomputed ([`PathEntry::key`]) at the rare release
+/// sites.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct PathEntry {
-    /// `channel.index() * num_vcs + vc` — index into the VC-slot table.
-    pub key: u32,
-    /// The physical channel, i.e. `key / num_vcs`. Precomputed at
-    /// allocation time: the per-cycle pipeline loop needs it for link
-    /// arbitration, and a runtime division there dominates the hot path.
+    /// The physical channel. The per-cycle pipeline loop needs it for
+    /// link arbitration.
     pub ch: u32,
-    /// The VC index, i.e. `key % num_vcs`. Precomputed likewise.
+    /// The VC index on `ch`.
     pub vc: u8,
     /// The channel's downstream node (`mesh.channel_dest(ch)`), known at
     /// allocation time. Held channels always have a destination.
     pub dest: NodeId,
     /// Flits that have entered this VC (cumulative; the header is flit 0).
     pub entered: u32,
+    /// `entered` as of the last node-load settlement. Per-node load counts
+    /// arrivals lazily: while the measurement window is open,
+    /// `entered - base` are arrivals at `dest` not yet added to the
+    /// statistics; they are added when the entry is released, when the
+    /// window closes, or (without settling) when a report is taken. The
+    /// window's opening sets `base = entered` on every live entry; entries
+    /// allocated later start at 0 = `entered`.
+    pub base: u32,
     /// Flits currently in the downstream buffer.
     pub occ: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<PathEntry>() == 16);
+
+impl PathEntry {
+    /// A freshly allocated, empty VC.
+    #[inline]
+    pub fn new(ch: u32, vc: u8, dest: NodeId) -> Self {
+        PathEntry {
+            ch,
+            vc,
+            dest,
+            entered: 0,
+            base: 0,
+            occ: 0,
+        }
+    }
+
+    /// Index into the VC-slot table: `ch * num_vcs + vc`.
+    #[inline]
+    pub fn key(&self, num_vcs: u8) -> u32 {
+        self.ch * num_vcs as u32 + self.vc as u32
+    }
+
+    /// Arrivals at `dest` since the last node-load settlement.
+    #[inline]
+    pub fn unsettled(&self) -> u64 {
+        u64::from(self.entered - self.base)
+    }
 }
 
 /// The VCs a message holds, oldest (source side) first: a grow-only
@@ -102,6 +142,11 @@ impl PathBuf {
     #[inline]
     pub fn iter(&self) -> std::slice::Iter<'_, PathEntry> {
         self.buf[self.front..].iter()
+    }
+
+    #[inline]
+    pub fn iter_mut(&mut self) -> std::slice::IterMut<'_, PathEntry> {
+        self.buf[self.front..].iter_mut()
     }
 
     #[inline]
@@ -260,14 +305,7 @@ mod tests {
     fn header_presence() {
         let st = MessageState::new(NodeId(0), NodeId(5));
         let mut m = Msg::new(NodeId(0), NodeId(5), 10, 0, st);
-        m.path.push_back(PathEntry {
-            key: 3,
-            ch: 0,
-            vc: 3,
-            dest: NodeId(1),
-            entered: 0,
-            occ: 0,
-        });
+        m.path.push_back(PathEntry::new(0, 3, NodeId(1)));
         assert!(!m.header_at_head(), "allocated but header not yet arrived");
         m.path.back_mut().unwrap().entered = 1;
         m.path.back_mut().unwrap().occ = 1;

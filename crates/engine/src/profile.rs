@@ -21,6 +21,11 @@
 //! | `move`     | 5: flit movement (sequential loop, or partition + parallel shard run) |
 //! | `merge`    | 5 (sharded only): rank-ordered replay of deferred shard effects |
 //! | `recover`  | 6–9: watchdog scan, recoveries, stats/cleanup, delivery window, telemetry fold |
+//!
+//! The same instantiation also counts the movement kernel's work in
+//! [`KernelCounters`]: messages visited, stalled messages skipped, path
+//! entries walked and flits moved. Like the timers they are plain adds
+//! under `if PROFILE`, so the default build carries none of them.
 
 use std::time::Duration;
 
@@ -136,6 +141,22 @@ impl PhaseTimes {
     pub fn clear(&mut self) {
         *self = PhaseTimes::default();
     }
+}
+
+/// Work counts of the sequential movement kernel (`Simulator::move_flits`),
+/// accumulated only by a `PROFILE = true` simulator. The pooled sharded
+/// pass (`shard::move_one`) is not counted; its inline sequential fast
+/// paths are.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct KernelCounters {
+    /// Messages whose movement pass ran (live, not stalled, holding VCs).
+    pub visits: u64,
+    /// Live messages skipped because their stall flag was set.
+    pub stalled_skips: u64,
+    /// Path entries (held VCs) the visits walked.
+    pub entries_walked: u64,
+    /// Flits moved: ejections, pipeline shifts and source injections.
+    pub flits_moved: u64,
 }
 
 #[cfg(test)]

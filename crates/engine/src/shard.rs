@@ -17,11 +17,12 @@
 //!    parallel.
 //! 2. **Footprint-local** — per-channel link budgets (`link_used`,
 //!    `occ_mask`, `slots`), per-node ejection budgets (`eject_used`) and
-//!    arrival counters. Two messages race on these only when their
-//!    *footprints* (held channels plus the downstream nodes of those
-//!    channels) intersect. The budgets are first-come-first-served in
-//!    service-rank order, so messages with intersecting footprints must
-//!    be processed sequentially, in rank order.
+//!    node-load arrival counters (settled when a VC is released). Two
+//!    messages race on these only when their *footprints* (held channels
+//!    plus the downstream nodes of those channels) intersect. The
+//!    budgets are first-come-first-served in service-rank order, so
+//!    messages with intersecting footprints must be processed
+//!    sequentially, in rank order.
 //! 3. **Global accumulators** — latency/throughput records (f64 sums,
 //!    order-sensitive), the slab free list, recovery records, VC release
 //!    counts, and wake-ups of blocked headers. These are *deferred*: each
@@ -117,8 +118,13 @@ pub(crate) struct MoveArena {
     pub occ_mask: SyncPtr<u32>,
     pub link_used: SyncPtr<u64>,
     pub eject_used: SyncPtr<u64>,
+    /// Node-load arrival counters, indexed by node. Written only when a
+    /// VC is released inside the measurement window (its unsettled
+    /// arrivals; see `PathEntry::base`), at its downstream node — a node
+    /// in the releasing message's footprint.
     pub arrivals: SyncPtr<u64>,
     pub injecting: SyncPtr<Option<u32>>,
+    pub num_vcs: u8,
     pub depth: u8,
     pub stamp: u64,
     pub cycle: u64,
@@ -428,14 +434,18 @@ pub(crate) unsafe fn move_one(arena: &MoveArena, rank: u32, id: u32, scratch: &m
     }
     let depth = arena.depth;
     let stamp = arena.stamp;
-    let mut progressed = false;
     let path = m.path.as_mut_slice();
+    let length = m.length;
 
-    // Ejection at the destination (head entry only).
+    // Ejection at the destination (head entry only). As in the sequential
+    // pass, each movement predicate is or-ed into `movable` before its
+    // budget check.
     let head_idx = path.len() - 1;
     let head_entry = path[head_idx];
     let head_node = head_entry.dest;
-    if head_node == m.dest && head_entry.occ > 0 {
+    let mut movable = head_node == m.dest && head_entry.occ > 0;
+    let mut progressed = false;
+    if movable {
         let eject = &mut *arena.eject_used.at(head_node.index());
         if *eject != stamp {
             *eject = stamp;
@@ -446,55 +456,44 @@ pub(crate) unsafe fn move_one(arena: &MoveArena, rank: u32, id: u32, scratch: &m
         }
     }
 
-    // Pipeline shifts, head side first; the head stage is peeled off for
-    // the header-arrival phase flip, the interior loop is branchless.
-    if head_idx >= 1 {
-        let cur = path[head_idx];
-        let lu = &mut *arena.link_used.at(cur.ch as usize);
-        if path[head_idx - 1].occ > 0 && cur.occ < depth && cur.entered < m.length && *lu != stamp {
-            *lu = stamp;
-            path[head_idx - 1].occ -= 1;
-            path[head_idx].occ += 1;
-            path[head_idx].entered += 1;
-            progressed = true;
-            if path[head_idx].entered == 1 {
-                *arena.alloc.at(i) = if cur.dest == m.dest {
-                    AllocPhase::Moving
-                } else {
-                    AllocPhase::Contend
-                };
-            }
-            if arena.measuring {
-                *arena.arrivals.at(cur.dest.index()) += 1;
-            }
-        }
-    }
-    let nl_mask = arena.measuring as u64;
-    for j in (1..head_idx).rev() {
+    // Pipeline shifts, head side first, branchless; the stall predicate
+    // folds into the same pass.
+    for j in (1..path.len()).rev() {
         let cur = path[j];
         let prev_occ = path[j - 1].occ;
+        let could = (prev_occ > 0) & (cur.occ < depth) & (cur.entered < length);
         let lu = &mut *arena.link_used.at(cur.ch as usize);
-        let can = (prev_occ > 0) & (cur.occ < depth) & (cur.entered < m.length) & (*lu != stamp);
+        let can = could & (*lu != stamp);
+        *lu = std::hint::select_unpredictable(can, stamp, *lu);
         let d = can as u8;
-        *lu = if can { stamp } else { *lu };
         path[j - 1].occ = prev_occ - d;
         path[j].occ = cur.occ + d;
         path[j].entered = cur.entered + d as u32;
+        movable |= could;
         progressed |= can;
-        *arena.arrivals.at(cur.dest.index()) += d as u64 & nl_mask;
+    }
+    if head_entry.entered == 0 && path[head_idx].entered == 1 && head_idx >= 1 {
+        // Header arrival at the head VC.
+        *arena.alloc.at(i) = if head_node == m.dest {
+            AllocPhase::Moving
+        } else {
+            AllocPhase::Contend
+        };
     }
 
     // Source injection into the first held VC.
     if m.at_source > 0 {
         let first = path[0];
+        let could = first.occ < depth && first.entered < length;
+        movable |= could;
         let lu = &mut *arena.link_used.at(first.ch as usize);
-        if first.occ < depth && first.entered < m.length && *lu != stamp {
+        if could && *lu != stamp {
             *lu = stamp;
             path[0].occ += 1;
             path[0].entered += 1;
             m.at_source -= 1;
             progressed = true;
-            if path.len() == 1 && path[0].entered == 1 {
+            if head_idx == 0 && path[0].entered == 1 {
                 *arena.alloc.at(i) = if first.dest == m.dest {
                     AllocPhase::Moving
                 } else {
@@ -503,9 +502,6 @@ pub(crate) unsafe fn move_one(arena: &MoveArena, rank: u32, id: u32, scratch: &m
             }
             if m.first_injected.is_none() {
                 m.first_injected = Some(arena.cycle);
-            }
-            if arena.measuring {
-                *arena.arrivals.at(first.dest.index()) += 1;
             }
             if m.at_source == 0 {
                 // The tail left the source: free the injection port.
@@ -521,28 +517,21 @@ pub(crate) unsafe fn move_one(arena: &MoveArena, rank: u32, id: u32, scratch: &m
         // Stall detection, identical to the sequential path: the movement
         // predicates read only this message's own state, so a fully
         // immobile message stays immobile until its own state changes.
-        let head = path[head_idx];
-        let mut movable = head.dest == m.dest && head.occ > 0;
-        movable = movable || (m.at_source > 0 && path[0].occ < depth && path[0].entered < m.length);
-        if !movable {
-            for j in 1..path.len() {
-                if path[j - 1].occ > 0 && path[j].occ < depth && path[j].entered < m.length {
-                    movable = true;
-                    break;
-                }
-            }
-        }
         *arena.stalled.at(i) = !movable;
     }
 
     // Release drained tail VCs.
     while m.path.len() > 1 {
         let front = m.path[0];
-        if front.entered == m.length && front.occ == 0 {
-            *arena.slots.at(front.key as usize) = None;
+        if front.entered == length && front.occ == 0 {
+            let key = front.key(arena.num_vcs);
+            *arena.slots.at(key as usize) = None;
             *arena.occ_mask.at(front.ch as usize) &= !(1 << front.vc);
             scratch.vc_released[front.vc as usize] += 1;
-            scratch.freed.push((rank, front.key));
+            if arena.measuring {
+                *arena.arrivals.at(front.dest.index()) += front.unsettled();
+            }
+            scratch.freed.push((rank, key));
             m.path.pop_front();
         } else {
             break;
@@ -553,10 +542,14 @@ pub(crate) unsafe fn move_one(arena: &MoveArena, rank: u32, id: u32, scratch: &m
     // stats/free-list bookkeeping to the caller's rank-ordered merge.
     if m.is_complete() {
         for e in &m.path {
-            *arena.slots.at(e.key as usize) = None;
+            let key = e.key(arena.num_vcs);
+            *arena.slots.at(key as usize) = None;
             *arena.occ_mask.at(e.ch as usize) &= !(1 << e.vc);
             scratch.vc_released[e.vc as usize] += 1;
-            scratch.freed.push((rank, e.key));
+            if arena.measuring {
+                *arena.arrivals.at(e.dest.index()) += e.unsettled();
+            }
+            scratch.freed.push((rank, key));
         }
         m.path.clear();
         *arena.alive.at(i) = false;

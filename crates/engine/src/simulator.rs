@@ -5,7 +5,7 @@ use crate::config::{ConfigError, SimConfig};
 use crate::fault_hook::{FaultActivation, FaultDriver};
 use crate::message::{AllocPhase, Msg, MsgId, PathEntry};
 use crate::pool::{SyncPtr, WorkerPool};
-use crate::profile::{Phase, PhaseTimes};
+use crate::profile::{KernelCounters, Phase, PhaseTimes};
 use crate::shard::{move_one, MoveArena, ShardRuntime};
 use crate::waiters::WaiterTable;
 use rand::rngs::SmallRng;
@@ -84,6 +84,13 @@ pub struct Simulator<S: Sink = NullSink, const PROFILE: bool = false> {
     /// Per-node message currently occupying the injection port.
     injecting: Vec<Option<u32>>,
     injectors: Vec<Injector>,
+    /// Per-node [`Injector::next_due`]: traffic generation polls only the
+    /// sources whose next arrival has come, in node order, so the RNG
+    /// draws are exactly those of polling every source every cycle. A
+    /// mirror of `injectors`: every site that polls or replaces an
+    /// injector refreshes it (debug builds check it each cycle). Calling
+    /// `next_due()` in the loop instead measured 3–9 % fewer cycles/s.
+    next_due: Vec<u64>,
     sampler: DestinationSampler,
     rng: SmallRng,
 
@@ -127,6 +134,13 @@ pub struct Simulator<S: Sink = NullSink, const PROFILE: bool = false> {
     throughput: ThroughputStats,
     vc_usage: VcUsageStats,
     node_load: NodeLoadStats,
+    /// Whether the node-load window is open: set at the start of the first
+    /// measured cycle, cleared (after settling every live path entry) at
+    /// the start of the first cycle past the window. While it is open,
+    /// each held VC's unsettled arrivals are added to `node_load` when it
+    /// is released (see [`PathEntry::base`]); no flit move touches
+    /// `node_load`.
+    load_window_open: bool,
     recoveries: u64,
     /// Hops taken on the fault-tolerance overlay VCs (ring detour hops).
     ring_hops: u64,
@@ -179,6 +193,8 @@ pub struct Simulator<S: Sink = NullSink, const PROFILE: bool = false> {
     /// (every stamp site is `if PROFILE`-guarded and compiles away in
     /// the default instantiation).
     phase_times: PhaseTimes,
+    /// Movement-kernel work counts; only written when `PROFILE`.
+    kernel: KernelCounters,
 }
 
 impl Simulator {
@@ -269,7 +285,7 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         let pattern = ctx.pattern();
         let healthy: Vec<NodeId> = pattern.healthy_nodes(mesh).collect();
         let num_healthy = healthy.len();
-        let injectors = mesh
+        let injectors: Vec<Injector> = mesh
             .nodes()
             .map(|n| {
                 if pattern.is_faulty(n) {
@@ -279,6 +295,7 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
                 }
             })
             .collect();
+        let next_due = injectors.iter().map(Injector::next_due).collect();
         let sampler = DestinationSampler::new(workload.pattern, mesh, healthy);
         let channels = mesh.channels().count();
         let recheck_wait = algo.recheck_wait();
@@ -301,6 +318,7 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             queues: vec![VecDeque::new(); num_nodes],
             injecting: vec![None; num_nodes],
             injectors,
+            next_due,
             sampler,
             rng: SmallRng::seed_from_u64(cfg.seed),
             cycle: 0,
@@ -323,6 +341,7 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             throughput: ThroughputStats::new(num_healthy),
             vc_usage: VcUsageStats::new(num_vcs, channels),
             node_load: NodeLoadStats::new(num_nodes),
+            load_window_open: false,
             recoveries: 0,
             ring_hops: 0,
             total_misroutes: 0,
@@ -346,6 +365,7 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             shard_rt,
             force_parallel: false,
             phase_times: PhaseTimes::new(),
+            kernel: KernelCounters::default(),
             cfg,
             ctx,
         })
@@ -459,6 +479,9 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
                 Injector::new(rate)
             }
         }));
+        self.next_due.clear();
+        self.next_due
+            .extend(self.injectors.iter().map(Injector::next_due));
         self.sampler
             .reset(self.workload.pattern, &mesh, pattern.healthy_nodes(&mesh));
         let num_healthy = self.sampler.healthy().len();
@@ -471,6 +494,7 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         self.throughput.reset(num_healthy);
         self.vc_usage.reset(num_vcs, mesh.channels().count());
         self.node_load.reset(num_nodes);
+        self.load_window_open = false;
         self.recoveries = 0;
         self.ring_hops = 0;
         self.total_misroutes = 0;
@@ -491,6 +515,7 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         self.blocked_this_cycle = 0;
         self.completed_this_cycle = 0;
         self.phase_times.clear();
+        self.kernel = KernelCounters::default();
         if self.cfg.shards > 1 {
             match self.shard_rt.as_deref_mut() {
                 Some(rt) => rt.reconfigure(&mesh, self.cfg.shards, num_vcs),
@@ -524,6 +549,12 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
     /// [`Simulator::reset`].
     pub fn phase_times(&self) -> &PhaseTimes {
         &self.phase_times
+    }
+
+    /// The movement kernel's work counts accumulated so far (all zeros
+    /// unless `PROFILE = true`); cleared by [`Simulator::reset`].
+    pub fn kernel_counters(&self) -> &KernelCounters {
+        &self.kernel
     }
 
     /// Stamp the end of a profiled phase: charge the span since the last
@@ -725,11 +756,6 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         ChannelId(key / self.num_vcs as u32)
     }
 
-    #[inline]
-    fn key_vc(&self, key: u32) -> u8 {
-        (key % self.num_vcs as u32) as u8
-    }
-
     /// The node where a message's header currently resides.
     fn head_node(&self, m: &Msg) -> NodeId {
         match m.path.back() {
@@ -780,12 +806,21 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
                 )
                 .max(1),
         );
+        // Held VCs still carry unsettled arrivals while the window is open
+        // (always so right after `run`: the window closes at the start of
+        // the first cycle past it).
+        let mut node_load = self.node_load.clone();
+        if self.load_window_open {
+            for e in self.msgs.iter().flat_map(|m| m.path.iter()) {
+                node_load.record_arrivals(e.dest, e.unsettled());
+            }
+        }
         let ring_load = if ctx.pattern().is_fault_free() {
             None
         } else {
             let on_ring: Vec<bool> = mesh.nodes().map(|n| ctx.rings().on_any_ring(n)).collect();
             let usable: Vec<bool> = mesh.nodes().map(|n| !ctx.pattern().is_faulty(n)).collect();
-            Some(self.node_load.ring_summary(&on_ring, &usable))
+            Some(node_load.ring_summary(&on_ring, &usable))
         };
         SimReport {
             algorithm: self.algo.name().to_string(),
@@ -798,7 +833,7 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             network_latency: self.network_latency.clone(),
             throughput,
             vc_usage: self.vc_usage.clone(),
-            node_load: self.node_load.clone(),
+            node_load,
             recoveries: self.recoveries,
             ring_hops: self.ring_hops,
             total_misroutes: self.total_misroutes,
@@ -841,15 +876,12 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             }
             for e in &m.path {
                 assert_eq!(
-                    owned.get(&e.key),
+                    owned.get(&e.key(self.num_vcs)),
                     Some(&id),
                     "path entry not owned by its message"
                 );
-                assert_eq!(
-                    (e.ch, e.vc),
-                    (self.key_channel(e.key).0, self.key_vc(e.key)),
-                    "path entry's cached channel/vc out of sync with its key"
-                );
+                assert!(e.vc < self.num_vcs, "path entry's VC out of range");
+                assert!(e.base <= e.entered, "node load settled beyond arrivals");
                 assert_eq!(
                     Some(e.dest),
                     self.ctx.mesh().channel_dest(ChannelId(e.ch)),
@@ -969,6 +1001,9 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
     /// Advance the simulation by one cycle.
     pub fn step(&mut self) {
         let measuring = self.measuring();
+        if measuring != self.load_window_open {
+            self.toggle_load_window();
+        }
         // Phase-profiling mark; stays `None` (and every `phase_lap`
         // compiles away) unless `PROFILE` is set.
         let mut mark = if PROFILE {
@@ -1081,21 +1116,25 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         self.order = order;
 
         // 6. Watchdog — a linear scan over the dense last-progress array.
+        // Progress stamps are cycles, so no message can have gone
+        // `timeout` cycles without progress before cycle `timeout + 1`.
         let timeout = self.cfg.deadlock_timeout;
         let cycle = self.cycle;
-        let mut stuck = std::mem::take(&mut self.stuck_scratch);
-        stuck.clear();
-        {
-            let alive = &self.alive;
-            let last_progress = &self.last_progress;
-            stuck.extend(self.active.iter().copied().filter(|&id| {
-                alive[id as usize] && cycle.saturating_sub(last_progress[id as usize]) > timeout
-            }));
+        if cycle > timeout {
+            let mut stuck = std::mem::take(&mut self.stuck_scratch);
+            stuck.clear();
+            {
+                let alive = &self.alive;
+                let last_progress = &self.last_progress;
+                stuck.extend(self.active.iter().copied().filter(|&id| {
+                    alive[id as usize] && cycle.saturating_sub(last_progress[id as usize]) > timeout
+                }));
+            }
+            for &id in &stuck {
+                self.recover(id);
+            }
+            self.stuck_scratch = stuck;
         }
-        for &id in &stuck {
-            self.recover(id);
-        }
-        self.stuck_scratch = stuck;
 
         // 7. Statistics & cleanup. VC-busy accounting is incremental:
         // `vc_usage` tracks currently-held slots via acquire/release at the
@@ -1142,6 +1181,22 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         }
 
         self.cycle += 1;
+    }
+
+    /// Open or close the node-load window. Opening marks every held VC's
+    /// current `entered` as settled, so only arrivals from here on count;
+    /// closing adds every held VC's unsettled arrivals. Between the two,
+    /// releases settle their own entries (see [`PathEntry::base`]), so the
+    /// per-node sums equal counting each arrival as its flit moves.
+    fn toggle_load_window(&mut self) {
+        let opening = !self.load_window_open;
+        for e in self.msgs.iter_mut().flat_map(|m| m.path.iter_mut()) {
+            if !opening {
+                self.node_load.record_arrivals(e.dest, e.unsettled());
+            }
+            e.base = e.entered;
+        }
+        self.load_window_open = opening;
     }
 
     /// Push this cycle's delivered-flit count into the sliding window and
@@ -1196,9 +1251,22 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         // Node ids are dense (one injector per node, row-major), so index
         // iteration visits the same nodes in the same order as
         // `mesh.nodes()` without touching the mesh.
+        //
+        // A source whose next arrival lies in the future would draw no
+        // randomness and yield nothing, so only due sources are polled.
+        let cycle = self.cycle;
         for idx in 0..self.injectors.len() {
+            debug_assert_eq!(
+                self.next_due[idx],
+                self.injectors[idx].next_due(),
+                "next_due out of sync at node {idx}"
+            );
+            if self.next_due[idx] > cycle {
+                continue;
+            }
             let node = NodeId(idx as u16);
-            let due = self.injectors[idx].poll_rng(self.cycle, &mut self.rng);
+            let due = self.injectors[idx].poll_rng(cycle, &mut self.rng);
+            self.next_due[idx] = self.injectors[idx].next_due();
             for _ in 0..due {
                 let Some(dest) = self.sampler.sample(node, &mut self.rng) else {
                     continue;
@@ -1355,14 +1423,7 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         self.stalled[i] = false;
         let m = &mut self.msgs[i];
         m.state = state;
-        m.path.push_back(PathEntry {
-            key,
-            ch: ch.0,
-            vc,
-            dest: next,
-            entered: 0,
-            occ: 0,
-        });
+        m.path.push_back(PathEntry::new(ch.0, vc, next));
     }
 
     /// Binary-insert `id` into the `(created, id)`-sorted mirror of
@@ -1413,24 +1474,27 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
     /// Advance the message's flit pipeline by up to one flit per held link.
     fn move_flits(&mut self, id: u32, measuring: bool) {
         let depth = self.cfg.buffer_depth;
+        let num_vcs = self.num_vcs;
         let stamp = self.cycle + 1;
         let i = id as usize;
-        // A stalled wormhole (checked below after each movement pass)
+        // A stalled wormhole (decided below when a pass moves nothing)
         // cannot move any flit until its own state changes, and it
         // would not have marked `link_used`/`eject_used` either, so
         // skipping it is byte-identical to walking its path again. Both
         // skip flags are dense-array loads; the `Msg` record is only
         // touched once a message actually has movement work.
         if !self.alive[i] || self.stalled[i] || self.msgs[i].path.is_empty() {
+            if PROFILE && self.alive[i] && self.stalled[i] {
+                self.kernel.stalled_skips += 1;
+            }
             return;
         }
         // Slot keys freed below (tail drains, completion) collect into the
-        // reusable scratch so their wake lists can drain once the message
-        // borrow ends.
-        let mut freed = std::mem::take(&mut self.freed_scratch);
-        freed.clear();
+        // reusable scratch (empty between uses) so their wake lists can
+        // drain once the message borrow ends.
+        debug_assert!(self.freed_scratch.is_empty());
         let m = &mut self.msgs[i];
-        let mut progressed = false;
+        let length = m.length;
 
         // Work on a contiguous slice: the pipeline loop indexes entry
         // pairs every cycle, and the path buffer stores them contiguously
@@ -1439,85 +1503,54 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         // downstream node, so no mesh queries (with their coordinate
         // divisions) happen in here at all.
         let path = m.path.as_mut_slice();
-
-        // Ejection at the destination (head entry only).
         let head_idx = path.len() - 1;
         let head_entry = path[head_idx];
+
+        // Ejection at the destination (head entry only). Each movement
+        // predicate is evaluated before its budget check and or-ed into
+        // `movable`: while nothing has moved yet in this pass, every
+        // predicate reads the state the pass started from.
         let head_node = head_entry.dest;
-        if head_node == m.dest && head_entry.occ > 0 && self.eject_used[head_node.index()] != stamp
-        {
+        let mut movable = head_node == m.dest && head_entry.occ > 0;
+        let mut moved = 0u32;
+        if movable && self.eject_used[head_node.index()] != stamp {
             self.eject_used[head_node.index()] = stamp;
             path[head_idx].occ -= 1;
             m.delivered += 1;
             self.delivered_this_cycle += 1;
-            progressed = true;
+            moved = 1;
         }
 
-        // Pipeline shifts: into entry j from entry j-1, head side first so
-        // slots freed this cycle can be refilled (standard pipelining).
-        //
-        // The head stage is peeled off: it is the only one where a move
-        // can be a header arrival (flipping the allocation phase). The
-        // interior loop below is branchless — whether a stage moves is
-        // roughly a coin flip under link contention, so folding the move
-        // condition into arithmetic (conditional moves instead of a
-        // data-dependent branch) sidesteps the mispredict per stage.
-        if head_idx >= 1 {
-            let cur = path[head_idx];
-            let lu = &mut self.link_used[cur.ch as usize];
-            if path[head_idx - 1].occ > 0
-                && cur.occ < depth
-                && cur.entered < m.length
-                && *lu != stamp
-            {
-                *lu = stamp;
-                path[head_idx - 1].occ -= 1;
-                path[head_idx].occ += 1;
-                path[head_idx].entered += 1;
-                progressed = true;
-                if path[head_idx].entered == 1 {
-                    // The header flit just reached the head VC's buffer:
-                    // routable from the next allocation pass on (unless it
-                    // arrived home, where ejection takes over).
-                    self.alloc[i] = if cur.dest == m.dest {
-                        AllocPhase::Moving
-                    } else {
-                        AllocPhase::Contend
-                    };
-                }
-                if measuring {
-                    self.node_load.record_arrival(cur.dest);
-                }
-            }
-        }
-        let nl_mask = measuring as u64;
-        for j in (1..head_idx).rev() {
-            let cur = path[j];
-            let prev_occ = path[j - 1].occ;
-            let lu = &mut self.link_used[cur.ch as usize];
-            let can =
-                (prev_occ > 0) & (cur.occ < depth) & (cur.entered < m.length) & (*lu != stamp);
-            let d = can as u8;
-            *lu = if can { stamp } else { *lu };
-            path[j - 1].occ = prev_occ - d;
-            path[j].occ = cur.occ + d;
-            path[j].entered = cur.entered + d as u32;
-            progressed |= can;
-            self.node_load.record_arrivals(cur.dest, d as u64 & nl_mask);
+        // Pipeline shifts, head side first, in one pass that also folds
+        // the stall predicate.
+        let (shifted, stages_movable) =
+            shift_stages(path, &mut self.link_used, depth, length, stamp);
+        moved += shifted;
+        movable |= stages_movable;
+        if head_entry.entered == 0 && path[head_idx].entered == 1 && head_idx >= 1 {
+            // The header flit just reached the head VC's buffer: routable
+            // from the next allocation pass on (unless it arrived home,
+            // where ejection takes over).
+            self.alloc[i] = if head_node == m.dest {
+                AllocPhase::Moving
+            } else {
+                AllocPhase::Contend
+            };
         }
 
         // Source injection into the first held VC.
         if m.at_source > 0 {
             let first = path[0];
-            let ch = first.ch;
-            if first.occ < depth && first.entered < m.length && self.link_used[ch as usize] != stamp
-            {
-                self.link_used[ch as usize] = stamp;
+            let could = first.occ < depth && first.entered < length;
+            movable |= could;
+            let ch = first.ch as usize;
+            if could && self.link_used[ch] != stamp {
+                self.link_used[ch] = stamp;
                 path[0].occ += 1;
                 path[0].entered += 1;
                 m.at_source -= 1;
-                progressed = true;
-                if path.len() == 1 && path[0].entered == 1 {
+                moved += 1;
+                if head_idx == 0 && path[0].entered == 1 {
                     // Header injected straight into the head VC (single-hop
                     // path so far): routable next pass unless already home.
                     self.alloc[i] = if first.dest == m.dest {
@@ -1529,52 +1562,46 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
                 if m.first_injected.is_none() {
                     m.first_injected = Some(self.cycle);
                 }
-                if measuring {
-                    self.node_load.record_arrival(first.dest);
-                }
                 if m.at_source == 0 {
                     // The tail left the source: free the injection port.
                     self.injecting[m.src.index()] = None;
                 }
             }
         }
+        if PROFILE {
+            self.kernel.visits += 1;
+            self.kernel.entries_walked += path.len() as u64;
+            self.kernel.flits_moved += u64::from(moved);
+        }
 
-        if progressed {
+        if moved > 0 {
             self.last_progress[i] = self.cycle;
         } else {
-            // Stall detection (only worth deciding when nothing moved —
-            // a message that just moved re-scans next cycle anyway). Each
-            // movement predicate above reads only the message's own state
-            // (`occ`/`entered`/`at_source`) plus constants (`depth`,
-            // `length`) — the per-cycle link/ejection budgets are checked
-            // last and only ever *deny* a move. So if no predicate holds
-            // on the current state, none can hold on a later cycle either
-            // until this message's own state changes — which happens only
-            // in `try_allocate` (path growth) or a reset. Mark it stalled
-            // and skip its movement pass until then.
-            let head = path[head_idx];
-            let mut movable = head.dest == m.dest && head.occ > 0;
-            movable =
-                movable || (m.at_source > 0 && path[0].occ < depth && path[0].entered < m.length);
-            if !movable {
-                for j in 1..path.len() {
-                    if path[j - 1].occ > 0 && path[j].occ < depth && path[j].entered < m.length {
-                        movable = true;
-                        break;
-                    }
-                }
-            }
+            // Stall detection. Each movement predicate reads only the
+            // message's own state (`occ`/`entered`/`at_source`) plus
+            // constants (`depth`, `length`) — the per-cycle link/ejection
+            // budgets are checked last and only ever *deny* a move. So if
+            // no predicate held on this pass's (unchanged) state, none can
+            // hold on a later cycle either until this message's own state
+            // changes — which happens only in `try_allocate` (path growth)
+            // or a reset. Mark it stalled and skip its movement pass until
+            // then.
             self.stalled[i] = !movable;
         }
 
         // Release drained tail VCs (the tail flit has passed through).
         while m.path.len() > 1 {
             let front = m.path[0];
-            if front.entered == m.length && front.occ == 0 {
-                self.slots[front.key as usize] = None;
+            if front.entered == length && front.occ == 0 {
+                let key = front.key(num_vcs);
+                self.slots[key as usize] = None;
                 self.occ_mask[front.ch as usize] &= !(1 << front.vc);
                 self.vc_usage.release(front.vc);
-                freed.push(front.key);
+                if measuring {
+                    self.node_load
+                        .record_arrivals(front.dest, front.unsettled());
+                }
+                self.freed_scratch.push(key);
                 m.path.pop_front();
             } else {
                 break;
@@ -1583,25 +1610,24 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
 
         // Completion.
         if m.is_complete() {
-            for e in &m.path {
-                self.slots[e.key as usize] = None;
-                self.occ_mask[e.ch as usize] &= !(1 << e.vc);
-                self.vc_usage.release(e.vc);
-                freed.push(e.key);
-            }
-            m.path.clear();
+            let dest = m.dest;
+            self.release_path(id);
             self.alive[i] = false;
             if S::ENABLED {
                 self.sink
-                    .record(TraceEvent::new(self.cycle, EventKind::Deliver, id).at(m.dest.0));
+                    .record(TraceEvent::new(self.cycle, EventKind::Deliver, id).at(dest.0));
             }
             self.finish_completion(id, measuring);
         }
 
-        for &key in &freed {
-            self.wake_waiters(key);
+        if !self.freed_scratch.is_empty() {
+            let mut freed = std::mem::take(&mut self.freed_scratch);
+            for &key in &freed {
+                self.wake_waiters(key);
+            }
+            freed.clear();
+            self.freed_scratch = freed;
         }
-        self.freed_scratch = freed;
     }
 
     /// The statistics/bookkeeping tail of a message completion, shared by
@@ -1701,6 +1727,7 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
                 link_used: SyncPtr(self.link_used.as_mut_ptr()),
                 eject_used: SyncPtr(self.eject_used.as_mut_ptr()),
                 arrivals: SyncPtr(self.node_load.arrivals_mut().as_mut_ptr()),
+                num_vcs: self.num_vcs,
                 injecting: SyncPtr(self.injecting.as_mut_ptr()),
                 depth: self.cfg.buffer_depth,
                 stamp: self.cycle + 1,
@@ -1828,6 +1855,7 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         for (idx, dead) in newly.iter().enumerate() {
             if *dead {
                 self.injectors[idx] = Injector::new(0.0);
+                self.next_due[idx] = u64::MAX;
             }
         }
         let pattern = self.ctx.pattern();
@@ -1947,21 +1975,48 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         }
     }
 
+    /// Release every VC message `id` holds, settling their unsettled
+    /// node-load arrivals, and empty its path. The freed slot keys collect
+    /// in `freed_scratch` until the caller wakes their sleepers
+    /// ([`Simulator::wake_released`], or the end of a movement pass).
+    fn release_path(&mut self, id: u32) {
+        let freed = &mut self.freed_scratch;
+        let m = &mut self.msgs[id as usize];
+        for e in &m.path {
+            let key = e.key(self.num_vcs);
+            self.slots[key as usize] = None;
+            self.occ_mask[e.ch as usize] &= !(1 << e.vc);
+            self.vc_usage.release(e.vc);
+            if self.load_window_open {
+                self.node_load.record_arrivals(e.dest, e.unsettled());
+            }
+            freed.push(key);
+        }
+        m.path.clear();
+    }
+
+    /// Wake the sleepers of every slot [`Simulator::release_path`]
+    /// freed, and count the releases for the shard runtime's rebuild
+    /// trigger.
+    fn wake_released(&mut self) {
+        let mut freed = std::mem::take(&mut self.freed_scratch);
+        if let Some(rt) = self.shard_rt.as_deref_mut() {
+            rt.note_releases(freed.len() as u64);
+        }
+        for &key in &freed {
+            self.wake_waiters(key);
+        }
+        freed.clear();
+        self.freed_scratch = freed;
+    }
+
     /// Remove an active message from the network for good: release held
     /// VCs, free the injection port, recycle the slab slot. The caller
     /// prunes `active` (activation triage immediately, the watchdog via
     /// the end-of-step retain).
     fn kill_active(&mut self, id: u32) {
-        let mut freed = std::mem::take(&mut self.freed_scratch);
-        freed.clear();
+        self.release_path(id);
         let m = &mut self.msgs[id as usize];
-        for e in &m.path {
-            self.slots[e.key as usize] = None;
-            self.occ_mask[e.ch as usize] &= !(1 << e.vc);
-            self.vc_usage.release(e.vc);
-            freed.push(e.key);
-        }
-        m.path.clear();
         self.alive[id as usize] = false;
         m.abort_tag = None;
         let src = m.src;
@@ -1969,13 +2024,7 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             self.injecting[src.index()] = None;
         }
         self.free_list.push(id);
-        if let Some(rt) = self.shard_rt.as_deref_mut() {
-            rt.note_releases(freed.len() as u64);
-        }
-        for &key in &freed {
-            self.wake_waiters(key);
-        }
-        self.freed_scratch = freed;
+        self.wake_released();
     }
 
     /// Chaos abort: drop the message's flits back to its source, release
@@ -1983,17 +2032,9 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
     /// re-injection after `backoff_base << min(aborts-1, backoff_cap)`
     /// cycles.
     fn abort_for_fault(&mut self, id: u32, ev: usize) {
-        let mut freed = std::mem::take(&mut self.freed_scratch);
-        freed.clear();
+        self.release_path(id);
         let (src, dest) = {
             let m = &mut self.msgs[id as usize];
-            for e in &m.path {
-                self.slots[e.key as usize] = None;
-                self.occ_mask[e.ch as usize] &= !(1 << e.vc);
-                self.vc_usage.release(e.vc);
-                freed.push(e.key);
-            }
-            m.path.clear();
             m.at_source = m.length;
             m.delivered = 0;
             m.first_injected = None;
@@ -2004,13 +2045,7 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             self.stalled[id as usize] = false;
             (m.src, m.dest)
         };
-        if let Some(rt) = self.shard_rt.as_deref_mut() {
-            rt.note_releases(freed.len() as u64);
-        }
-        for &key in &freed {
-            self.wake_waiters(key);
-        }
-        self.freed_scratch = freed;
+        self.wake_released();
         if self.injecting[src.index()] == Some(id) {
             self.injecting[src.index()] = None;
         }
@@ -2065,17 +2100,9 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
                 .record(TraceEvent::new(self.cycle, EventKind::Recover, id).at(head));
         }
         let src;
-        let mut freed = std::mem::take(&mut self.freed_scratch);
-        freed.clear();
+        self.release_path(id);
         {
             let m = &mut self.msgs[id as usize];
-            for e in &m.path {
-                self.slots[e.key as usize] = None;
-                self.occ_mask[e.ch as usize] &= !(1 << e.vc);
-                self.vc_usage.release(e.vc);
-                freed.push(e.key);
-            }
-            m.path.clear();
             m.at_source = m.length;
             m.delivered = 0;
             m.first_injected = None;
@@ -2085,13 +2112,7 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             self.stalled[id as usize] = false;
             src = m.src;
         }
-        if let Some(rt) = self.shard_rt.as_deref_mut() {
-            rt.note_releases(freed.len() as u64);
-        }
-        for &key in &freed {
-            self.wake_waiters(key);
-        }
-        self.freed_scratch = freed;
+        self.wake_released();
         let state = self.algo.init_message(src, self.msgs[id as usize].dest);
         self.msgs[id as usize].state = state;
         // Give the injection port back if this message held it; otherwise
@@ -2314,6 +2335,55 @@ fn vc_width_mask(num_vcs: u8) -> u32 {
     }
 }
 
+/// One cycle of pipeline shifts along a message's held VCs: a flit moves
+/// into entry `j` from entry `j - 1`, head side first so buffer space
+/// freed this cycle can be refilled (standard pipelining), at most one
+/// flit per physical link per cycle (`link_used` epoch-stamped with
+/// `stamp`). Returns the number of flits moved and whether any stage's
+/// own predicate held (upstream flit buffered, room downstream, tail not
+/// yet through) before its link budget was checked: the stall test for
+/// a pass that moves nothing.
+///
+/// A free function over two disjoint slices rather than a method: with
+/// `&mut self` in scope every store may alias the simulator's vector
+/// headers, so they would be reloaded on every stage. The loop is
+/// branchless — whether a stage moves is roughly a coin flip under link
+/// contention, so the move condition folds into arithmetic and
+/// conditional moves instead of a data-dependent branch.
+#[inline]
+fn shift_stages(
+    path: &mut [PathEntry],
+    link_used: &mut [u64],
+    depth: u8,
+    length: u32,
+    stamp: u64,
+) -> (u32, bool) {
+    let mut moved = 0u32;
+    let mut movable = false;
+    // Stage `j`'s occupancy is carried in a register from one stage to the
+    // next: each stage's shift sets its upstream neighbour's occupancy,
+    // which the next stage reads as its own.
+    let Some(mut cur_occ) = path.last().map(|e| e.occ) else {
+        return (0, false);
+    };
+    for j in (1..path.len()).rev() {
+        let prev_occ = path[j - 1].occ;
+        let cur = &mut path[j];
+        let could = (prev_occ > 0) & (cur_occ < depth) & (cur.entered < length);
+        let lu = &mut link_used[cur.ch as usize];
+        let can = could & (*lu != stamp);
+        *lu = std::hint::select_unpredictable(can, stamp, *lu);
+        let d = can as u8;
+        cur.occ = cur_occ + d;
+        cur.entered += u32::from(d);
+        cur_occ = prev_occ - d;
+        movable |= could;
+        moved += u32::from(d);
+    }
+    path[0].occ = cur_occ;
+    (moved, movable)
+}
+
 /// Expand one candidate hop's VC mask against the channel's occupancy
 /// bitmask: free VCs append `(slot key, vc)` to `eligible`, occupied ones
 /// append their slot key to `busy`, both in ascending VC order — exactly
@@ -2468,7 +2538,7 @@ mod tests {
             for &id in &sim.active {
                 let m = &sim.msgs[id as usize];
                 for e in &m.path {
-                    scanned[sim.key_vc(e.key) as usize] += 1;
+                    scanned[e.vc as usize] += 1;
                 }
             }
             assert_eq!(

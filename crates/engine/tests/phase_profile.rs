@@ -1,10 +1,11 @@
 //! Phase profiling equivalence: a `PROFILE = true` simulator produces a
 //! byte-identical report to the default instantiation (timing observes,
-//! it never perturbs), accumulates time in every expected phase, and the
-//! default build accumulates nothing.
+//! it never perturbs), accumulates time in every expected phase and
+//! movement-kernel work counts, and the default build accumulates
+//! nothing.
 
 use std::sync::Arc;
-use wormsim_engine::{NullSink, Phase, SimConfig, Simulator};
+use wormsim_engine::{KernelCounters, NullSink, Phase, SimConfig, Simulator};
 use wormsim_fault::FaultPattern;
 use wormsim_routing::{build_algorithm, AlgorithmKind, RoutingContext, VcConfig};
 use wormsim_topology::Mesh;
@@ -94,11 +95,21 @@ fn profiled_run_accumulates_phase_times() {
     let share_sum: f64 = Phase::ALL.iter().map(|&p| t.share(p)).sum();
     assert!((share_sum - 1.0).abs() < 1e-9, "shares sum to {share_sum}");
 
+    // Kernel counters: every visit walks at least one held VC, and every
+    // walked entry moves at most one flit (the head entry may also eject
+    // one, the tail entry take one from the source).
+    let k = *sim.kernel_counters();
+    assert!(k.visits > 0, "no movement visits counted");
+    assert!(k.entries_walked >= k.visits);
+    assert!(k.flits_moved > 0);
+    assert!(k.flits_moved <= k.entries_walked + 2 * k.visits);
+
     // Reset clears the accumulator alongside the rest of the run state.
     let algo2 = build_algorithm(AlgorithmKind::Duato, ctx.clone(), VcConfig::paper());
     sim.reset(algo2, ctx, Workload::paper_uniform(0.01), cfg);
     assert_eq!(sim.phase_times().cycles(), 0);
     assert_eq!(sim.phase_times().total_nanos(), 0);
+    assert_eq!(*sim.kernel_counters(), KernelCounters::default());
 }
 
 #[test]
@@ -136,4 +147,5 @@ fn default_build_accumulates_nothing() {
     }
     assert_eq!(sim.phase_times().cycles(), 0);
     assert_eq!(sim.phase_times().total_nanos(), 0);
+    assert_eq!(*sim.kernel_counters(), KernelCounters::default());
 }

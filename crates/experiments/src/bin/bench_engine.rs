@@ -143,9 +143,9 @@ struct BenchRecord {
     scaling: ScalingRecord,
     /// Per-phase cycle-time breakdown of the paper-scale run through a
     /// `PROFILE = true` simulator, fingerprint-asserted against the
-    /// default build. Timings are informational (no `--check` floor —
-    /// phase shares vary with the machine); the fingerprint equality is
-    /// the invariant.
+    /// default build, with the movement kernel's work counts. Timings are
+    /// informational (no `--check` floor — phase shares vary with the
+    /// machine); the fingerprint equality is the invariant.
     phases: PhasesRecord,
 }
 
@@ -159,12 +159,34 @@ struct PhasesRecord {
     profiled_fingerprint: String,
     /// Wall-clock for the whole profiled schedule, seconds.
     elapsed_secs: f64,
+    /// Cores visible when the record was made. This record may be retaken
+    /// alone (`--phases`) on another host than the gated records, so its
+    /// times compare only with runs on a host like this one.
+    cores: usize,
     /// Cycles the accumulator saw (the full schedule).
     cycles: u64,
     /// Total profiled nanoseconds across all phases.
     total_ns: u64,
     /// One entry per engine phase, in step order.
     breakdown: Vec<PhaseRecord>,
+    /// The movement kernel's in-situ work counts over the same run.
+    kernel: KernelRecord,
+}
+
+/// Movement-kernel work per cycle, counted inside the profiled engine
+/// (`KernelCounters`), and the `move` phase time per path entry walked.
+#[derive(Serialize)]
+struct KernelRecord {
+    /// Messages whose movement pass ran.
+    visits_per_cycle: f64,
+    /// Live messages skipped on their stall flag.
+    stalled_skips_per_cycle: f64,
+    /// Path entries (held VCs) walked by the visits.
+    entries_walked_per_cycle: f64,
+    /// Flits moved (ejections, pipeline shifts, source injections).
+    flits_moved_per_cycle: f64,
+    /// `move` phase nanoseconds per path entry walked.
+    ns_per_entry: f64,
 }
 
 #[derive(Serialize)]
@@ -746,14 +768,34 @@ fn phase_bench(expected_fp: Option<&str>) -> PhasesRecord {
             r.share * 100.0
         );
     }
+    let k = *sim.kernel_counters();
+    let per_cycle = |n: u64| n as f64 / t.cycles().max(1) as f64;
+    let kernel = KernelRecord {
+        visits_per_cycle: per_cycle(k.visits),
+        stalled_skips_per_cycle: per_cycle(k.stalled_skips),
+        entries_walked_per_cycle: per_cycle(k.entries_walked),
+        flits_moved_per_cycle: per_cycle(k.flits_moved),
+        ns_per_entry: t.nanos(Phase::Move) as f64 / k.entries_walked.max(1) as f64,
+    };
+    eprintln!(
+        "kernel: {:.1} visits, {:.1} stalled skips, {:.1} entries walked, {:.1} flits moved \
+         per cycle; {:.2} ns per entry",
+        kernel.visits_per_cycle,
+        kernel.stalled_skips_per_cycle,
+        kernel.entries_walked_per_cycle,
+        kernel.flits_moved_per_cycle,
+        kernel.ns_per_entry
+    );
     PhasesRecord {
         warmup_cycles: cfg.warmup_cycles,
         measure_cycles: cfg.measure_cycles,
         profiled_fingerprint,
         elapsed_secs,
+        cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
         cycles: t.cycles(),
         total_ns: t.total_nanos(),
         breakdown,
+        kernel,
     }
 }
 

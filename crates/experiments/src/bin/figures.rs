@@ -6,13 +6,15 @@
 //! ```
 //!
 //! Markdown and CSV land in `results/`; the Markdown is also printed.
+//! Figures 4 and 5 come from one run of their shared fault sweep (also
+//! when only one of them is requested); with both requested (as by
+//! `all`), it runs once.
 
 use std::io::Write;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use wormsim_experiments::{
-    fig1_saturation_throughput, fig2_latency_vs_rate, fig3_vc_utilization,
-    fig4_throughput_vs_faults, fig5_latency_vs_faults, fig6_fring_traffic, ExperimentConfig,
-    FigureResult, Progress, Scale,
+    fig1_saturation_throughput, fig2_latency_vs_rate, fig3_vc_utilization, fig4_fig5_fault_sweep,
+    fig6_fring_traffic, ExperimentConfig, FigureResult, Progress, Scale,
 };
 
 fn usage() -> ! {
@@ -75,18 +77,26 @@ fn main() {
         "# wormsim figure reproduction ({:?} scale, seed {}, {} threads)\n",
         scale, cfg.base_seed, cfg.threads
     ));
+    // Figures 4 and 5 read the same sweep: it runs once, on the first
+    // request for either, and both figures report its time.
+    let mut fig45: Option<(FigureResult, FigureResult, Duration)> = None;
     for id in which {
         let t = Instant::now();
-        let fig: FigureResult = match id {
-            "fig1" => fig1_saturation_throughput(&cfg),
-            "fig2" => fig2_latency_vs_rate(&cfg),
-            "fig3" => fig3_vc_utilization(&cfg),
-            "fig4" => fig4_throughput_vs_faults(&cfg),
-            "fig5" => fig5_latency_vs_faults(&cfg),
-            "fig6" => fig6_fring_traffic(&cfg),
+        let (fig, elapsed) = match id {
+            "fig4" | "fig5" => {
+                let (fig4, fig5, took) = fig45.get_or_insert_with(|| {
+                    let t = Instant::now();
+                    let (fig4, fig5) = fig4_fig5_fault_sweep(&cfg);
+                    (fig4, fig5, t.elapsed())
+                });
+                (if id == "fig4" { fig4 } else { fig5 }.clone(), *took)
+            }
+            "fig1" => (fig1_saturation_throughput(&cfg), t.elapsed()),
+            "fig2" => (fig2_latency_vs_rate(&cfg), t.elapsed()),
+            "fig3" => (fig3_vc_utilization(&cfg), t.elapsed()),
+            "fig6" => (fig6_fring_traffic(&cfg), t.elapsed()),
             _ => unreachable!(),
         };
-        let elapsed = t.elapsed();
         let mut md = format!("## {}\n\n", fig.title);
         for note in &fig.notes {
             md.push_str(&format!("- {note}\n"));
@@ -118,7 +128,12 @@ fn main() {
             );
             std::fs::write(&csv_path, table.to_csv()).expect("write csv");
         }
-        md.push_str(&format!("_generated in {elapsed:.2?}_\n"));
+        let shared = if matches!(id, "fig4" | "fig5") {
+            " (one fault sweep shared by Figures 4 and 5)"
+        } else {
+            ""
+        };
+        md.push_str(&format!("_generated in {elapsed:.2?}{shared}_\n"));
         std::fs::write(
             format!("{out_dir}/{}.json", fig.id),
             serde_json::to_string_pretty(&fig).expect("figure serializes"),

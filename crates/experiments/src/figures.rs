@@ -230,9 +230,17 @@ pub fn fig3_vc_utilization(cfg: &ExperimentConfig) -> FigureResult {
     }
 }
 
+/// One fault sweep's reports: `(faults, algorithm, reports over the
+/// case's fault sets)`.
+type FaultSweep = Vec<(usize, AlgorithmKind, Vec<SimReport>)>;
+
+/// Salt of the sweep behind Figures 4 and 5 (the same for both: identical
+/// fault sets and seeds, shared shape).
+const FAULT_SWEEP_SALT: u64 = 4;
+
 /// Shared sweep behind Figures 4 and 5: every algorithm × fault case at
 /// 100 % traffic load, averaged over the shared fault sets.
-fn fault_sweep(cfg: &ExperimentConfig, salt: u64) -> Vec<(usize, AlgorithmKind, Vec<SimReport>)> {
+fn fault_sweep(cfg: &ExperimentConfig, salt: u64) -> FaultSweep {
     let kinds = AlgorithmKind::ALL;
     let nodes = cfg.mesh_size as usize * cfg.mesh_size as usize;
     let cases = [0usize, nodes / 20, nodes / 10]; // 0 %, 5 %, 10 %
@@ -267,11 +275,10 @@ fn fault_sweep(cfg: &ExperimentConfig, salt: u64) -> Vec<(usize, AlgorithmKind, 
 
 fn fault_case_table(
     cfg: &ExperimentConfig,
+    sweep: &FaultSweep,
     title: &str,
     value: impl Fn(&SimReport) -> f64,
-    salt: u64,
 ) -> Table {
-    let sweep = fault_sweep(cfg, salt);
     let kinds = AlgorithmKind::ALL;
     let nodes = cfg.mesh_size as usize * cfg.mesh_size as usize;
     let mut table = Table::new(title, "faults", algorithm_columns(&kinds));
@@ -296,14 +303,12 @@ fn fault_case_table(
     table
 }
 
-/// **Figure 4** — normalized throughput at 0 %, 5 %, 10 % faulty nodes,
-/// 100 % traffic load, averaged over the shared fault sets.
-pub fn fig4_throughput_vs_faults(cfg: &ExperimentConfig) -> FigureResult {
+fn fig4_from_sweep(cfg: &ExperimentConfig, sweep: &FaultSweep) -> FigureResult {
     let table = fault_case_table(
         cfg,
+        sweep,
         "Normalized throughput vs percentage of faulty nodes (100% load)",
         |r| r.normalized_throughput(),
-        4,
     );
     FigureResult {
         id: "fig4",
@@ -316,14 +321,12 @@ pub fn fig4_throughput_vs_faults(cfg: &ExperimentConfig) -> FigureResult {
     }
 }
 
-/// **Figure 5** — normalized message latency at 0 %, 5 %, 10 % faulty
-/// nodes, 100 % traffic load, averaged over the shared fault sets.
-pub fn fig5_latency_vs_faults(cfg: &ExperimentConfig) -> FigureResult {
+fn fig5_from_sweep(cfg: &ExperimentConfig, sweep: &FaultSweep) -> FigureResult {
     let table = fault_case_table(
         cfg,
+        sweep,
         "Normalized message latency (flit cycles) vs percentage of faulty nodes (100% load)",
         |r| r.mean_network_latency(),
-        4, // same salt as fig4: identical fault sets and seeds, shared shape
     );
     FigureResult {
         id: "fig5",
@@ -331,6 +334,27 @@ pub fn fig5_latency_vs_faults(cfg: &ExperimentConfig) -> FigureResult {
         tables: vec![table],
         notes: vec!["same fault sets and seeds as Figure 4".into()],
     }
+}
+
+/// **Figure 4** — normalized throughput at 0 %, 5 %, 10 % faulty nodes,
+/// 100 % traffic load, averaged over the shared fault sets.
+pub fn fig4_throughput_vs_faults(cfg: &ExperimentConfig) -> FigureResult {
+    fig4_from_sweep(cfg, &fault_sweep(cfg, FAULT_SWEEP_SALT))
+}
+
+/// **Figure 5** — normalized message latency at 0 %, 5 %, 10 % faulty
+/// nodes, 100 % traffic load, averaged over the shared fault sets.
+pub fn fig5_latency_vs_faults(cfg: &ExperimentConfig) -> FigureResult {
+    fig5_from_sweep(cfg, &fault_sweep(cfg, FAULT_SWEEP_SALT))
+}
+
+/// **Figures 4 and 5** from one run of their shared sweep. Both figures
+/// read the same runs (same fault sets, same seeds), so regenerating them
+/// together halves their cost; each result equals its single-figure
+/// function's.
+pub fn fig4_fig5_fault_sweep(cfg: &ExperimentConfig) -> (FigureResult, FigureResult) {
+    let sweep = fault_sweep(cfg, FAULT_SWEEP_SALT);
+    (fig4_from_sweep(cfg, &sweep), fig5_from_sweep(cfg, &sweep))
 }
 
 /// The paper's §5.2 fixed fault layout: one 2-wide × 3-tall block plus two
@@ -446,6 +470,26 @@ mod tests {
             .regions()
             .iter()
             .any(|r| (r.width(), r.height()) == (2, 3)));
+    }
+
+    #[test]
+    fn shared_fault_sweep_equals_single_figures() {
+        let mut cfg = tiny_cfg();
+        cfg.fault_patterns = 2;
+        let (fig4, fig5) = fig4_fig5_fault_sweep(&cfg);
+        for (shared, single) in [
+            (fig4, fig4_throughput_vs_faults(&cfg)),
+            (fig5, fig5_latency_vs_faults(&cfg)),
+        ] {
+            assert_eq!(shared.id, single.id);
+            assert_eq!(shared.title, single.title);
+            assert_eq!(shared.notes, single.notes);
+            assert_eq!(shared.tables.len(), single.tables.len());
+            for (a, b) in shared.tables.iter().zip(&single.tables) {
+                assert_eq!(a.title, b.title);
+                assert_eq!(a.to_csv(), b.to_csv(), "{} diverged", shared.id);
+            }
+        }
     }
 
     #[test]

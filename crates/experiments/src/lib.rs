@@ -12,6 +12,7 @@
 //! | [`fig3_vc_utilization`] | Fig 3a/3b | per-VC utilization at 5 % faults |
 //! | [`fig4_throughput_vs_faults`] | Fig 4 | normalized throughput at 0/5/10 % faults |
 //! | [`fig5_latency_vs_faults`] | Fig 5 | normalized latency at 0/5/10 % faults |
+//! | [`fig4_fig5_fault_sweep`] | Figs 4 + 5 | both from one run of their shared sweep |
 //! | [`fig6_fring_traffic`] | Fig 6 | traffic load split: f-ring vs other nodes |
 //!
 //! Runs fan out over threads (one simulation per work item); everything is
@@ -35,7 +36,7 @@ pub use cache::{shared_cache, ContextCache};
 pub use config::{ExperimentConfig, Scale};
 pub use dynamic::{dynamic_faults, DYNAMIC_KINDS, DYNAMIC_RATE};
 pub use figures::{
-    fig1_saturation_throughput, fig2_latency_vs_rate, fig3_vc_utilization,
+    fig1_saturation_throughput, fig2_latency_vs_rate, fig3_vc_utilization, fig4_fig5_fault_sweep,
     fig4_throughput_vs_faults, fig5_latency_vs_faults, fig6_fring_traffic, paper_52_layout,
     FigureResult, ANALYSIS_RATE, FULL_LOAD_RATE, RATE_SWEEP,
 };

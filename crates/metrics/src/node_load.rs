@@ -6,6 +6,14 @@ use wormsim_topology::NodeId;
 /// Counts flit arrivals at every node's input buffers over the measurement
 /// window. The paper's Figure 6 compares the load on f-ring nodes against
 /// the other (non-faulty, non-ring) nodes.
+///
+/// The engine does not count each arrival as its flit moves. Every held
+/// virtual channel already counts the flits that entered it, so the engine
+/// adds a channel's in-window arrivals in one [`NodeLoadStats::record_arrivals`]
+/// call when it releases the channel, settles every held channel when the
+/// window closes, and adds the still-unsettled arrivals of held channels
+/// to the copy a mid-window report carries. The per-node sums are the
+/// same as counting flit by flit.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct NodeLoadStats {
     arrivals: Vec<u64>,
@@ -30,15 +38,7 @@ impl NodeLoadStats {
         self.cycles = 0;
     }
 
-    /// Record one flit arriving at node `n`.
-    #[inline]
-    pub fn record_arrival(&mut self, n: NodeId) {
-        self.arrivals[n.index()] += 1;
-    }
-
-    /// Record `k` flit arrivals at node `n` in one update. `k` may be 0:
-    /// branchless callers (the engine's pipeline loop) fold their move
-    /// condition into `k` instead of branching around the call.
+    /// Record `k` flit arrivals at node `n` in one update (`k` may be 0).
     #[inline]
     pub fn record_arrivals(&mut self, n: NodeId, k: u64) {
         self.arrivals[n.index()] += k;
@@ -56,9 +56,8 @@ impl NodeLoadStats {
     }
 
     /// Mutable view of the raw arrival counters. Used by the engine's
-    /// sharded movement phase, where each shard adds to a disjoint set of
-    /// node indices directly instead of routing every flit arrival
-    /// through [`NodeLoadStats::record_arrivals`].
+    /// sharded movement phase, where each shard settles released channels
+    /// into a disjoint set of node indices directly.
     pub fn arrivals_mut(&mut self) -> &mut [u64] {
         &mut self.arrivals
     }
@@ -177,9 +176,7 @@ mod tests {
         for _ in 0..10 {
             s.tick();
         }
-        for _ in 0..20 {
-            s.record_arrival(NodeId(2));
-        }
+        s.record_arrivals(NodeId(2), 20);
         let l = s.load_per_cycle();
         assert_eq!(l[2], 2.0);
         assert_eq!(l[0], 0.0);
@@ -191,18 +188,10 @@ mod tests {
         s.tick();
         // Node 0: ring, 100 arrivals (peak). Node 1: ring, 50.
         // Node 2: other, 25. Node 3: faulty, 999 (ignored).
-        for _ in 0..100 {
-            s.record_arrival(NodeId(0));
-        }
-        for _ in 0..50 {
-            s.record_arrival(NodeId(1));
-        }
-        for _ in 0..25 {
-            s.record_arrival(NodeId(2));
-        }
-        for _ in 0..999 {
-            s.record_arrival(NodeId(3));
-        }
+        s.record_arrivals(NodeId(0), 100);
+        s.record_arrivals(NodeId(1), 50);
+        s.record_arrivals(NodeId(2), 25);
+        s.record_arrivals(NodeId(3), 999);
         let on_ring = [true, true, false, false];
         let usable = [true, true, true, false];
         let sum = s.ring_summary(&on_ring, &usable);
@@ -226,11 +215,11 @@ mod tests {
     fn merge_adds() {
         let mut a = NodeLoadStats::new(2);
         a.tick();
-        a.record_arrival(NodeId(0));
+        a.record_arrivals(NodeId(0), 1);
         let mut b = NodeLoadStats::new(2);
         b.tick();
-        b.record_arrival(NodeId(0));
-        b.record_arrival(NodeId(1));
+        b.record_arrivals(NodeId(0), 1);
+        b.record_arrivals(NodeId(1), 1);
         a.merge(&b);
         assert_eq!(a.arrivals(), &[2, 1]);
         assert_eq!(a.load_per_cycle()[0], 1.0);

@@ -97,6 +97,21 @@ impl Injector {
         self.poll_with(now, &mut G(rng))
     }
 
+    /// The first cycle at which a poll can return messages: ⌈next arrival⌉
+    /// once primed, 0 before the first poll (which draws the first gap),
+    /// and `u64::MAX` for a disabled source. A poll at any earlier cycle
+    /// returns 0 without drawing randomness, so callers may skip it.
+    pub fn next_due(&self) -> u64 {
+        if self.rate <= 0.0 {
+            u64::MAX
+        } else if !self.primed {
+            0
+        } else {
+            // `as` saturates, so an arrival beyond u64 range never comes due.
+            self.next.ceil() as u64
+        }
+    }
+
     fn poll_with(&mut self, now: u64, src: &mut dyn GapSource) -> usize {
         if self.rate <= 0.0 {
             return 0;
@@ -280,7 +295,7 @@ impl Workload {
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn mesh() -> Mesh {
         Mesh::square(10)
@@ -409,6 +424,29 @@ mod tests {
         let mut s = DestinationSampler::new(TrafficPattern::Uniform, &m, vec![only]);
         let mut rng = SmallRng::seed_from_u64(2);
         assert_eq!(s.sample(only, &mut rng), None);
+    }
+
+    #[test]
+    fn next_due_predicts_every_nonempty_poll() {
+        assert_eq!(Injector::new(0.0).next_due(), u64::MAX);
+        let mut inj = Injector::new(0.03);
+        assert_eq!(inj.next_due(), 0, "an unprimed source must be polled");
+        let mut rng = SmallRng::seed_from_u64(4);
+        let mut skipped = SmallRng::seed_from_u64(4);
+        let mut lazy = Injector::new(0.03);
+        let mut total = 0;
+        for now in 0..5_000u64 {
+            let due = inj.poll_rng(now, &mut rng);
+            if now < lazy.next_due() {
+                assert_eq!(due, 0, "cycle {now} was skippable but produced messages");
+                continue;
+            }
+            assert_eq!(lazy.poll_rng(now, &mut skipped), due);
+            total += due;
+        }
+        assert!(total > 100, "{total} arrivals");
+        // Skipping the idle polls drew exactly the same variates.
+        assert_eq!(rng.next_u64(), skipped.next_u64());
     }
 
     #[test]
